@@ -15,7 +15,7 @@
 //! solves a `τ`-regularised problem centred at an extrapolated point.
 
 use crate::common::{global_gradient, local_objective_on, record_iteration, DistributedRun, EngineSync};
-use nadmm_cluster::{Cluster, Communicator};
+use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec};
 use nadmm_linalg::{gen, vector};
@@ -319,43 +319,14 @@ impl InexactDane {
             workspace: ws.stats(),
         }
     }
-
-    /// Convenience wrapper spawning one rank per shard (InexactDANE).
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::InexactDane` instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `nadmm-experiment` builder (`SolverSpec::InexactDane`) instead"
-    )]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> DistributedRun {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
-    }
-
-    /// Runs AIDE (accelerated InexactDANE) on a cluster.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::Aide` instead.
-    #[deprecated(since = "0.1.0", note = "use the `nadmm-experiment` builder (`SolverSpec::Aide`) instead")]
-    pub fn run_cluster_aide(
-        &self,
-        cluster: &Cluster,
-        shards: &[Dataset],
-        test: Option<&Dataset>,
-        aide: &AideConfig,
-    ) -> DistributedRun {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed_aide(comm, shard, test, aide));
-        outputs.swap_remove(0)
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster*` wrappers stay under test
 mod tests {
     use super::*;
     use crate::common::local_objective;
-    use nadmm_cluster::NetworkModel;
+    use crate::rank0;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
 
     fn dataset(seed: u64) -> Dataset {
@@ -384,7 +355,9 @@ mod tests {
         let train = dataset(1);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let run = InexactDane::new(quick_config()).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            InexactDane::new(quick_config()).run_distributed(comm, shard, None)
+        });
         let first = run.history.records[0].objective;
         let last = run.history.final_objective().unwrap();
         assert!(last < first, "DANE should reduce the objective: {first} -> {last}");
@@ -400,7 +373,9 @@ mod tests {
             tau: 0.5,
             zeta: 0.5,
         };
-        let run = InexactDane::new(quick_config()).run_cluster_aide(&cluster, &shards, None, &aide);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            InexactDane::new(quick_config()).run_distributed_aide(comm, shard, None, &aide)
+        });
         assert_eq!(run.history.solver, "aide");
         let first = run.history.records[0].objective;
         assert!(run.history.final_objective().unwrap() < first);
@@ -414,7 +389,9 @@ mod tests {
         let train = dataset(3);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let run = InexactDane::new(quick_config()).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            InexactDane::new(quick_config()).run_distributed(comm, shard, None)
+        });
         let per_epoch = run.history.avg_epoch_time();
         // One plain gradient evaluation on the shard:
         let single_grad_time = {
@@ -438,7 +415,9 @@ mod tests {
             svrg_iters: 20,
             ..quick_config()
         };
-        let run = InexactDane::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            InexactDane::new(cfg).run_distributed(comm, shard, None)
+        });
         assert!(run.history.final_objective().unwrap().is_finite());
         assert!(run.w.iter().all(|v| v.is_finite()));
     }

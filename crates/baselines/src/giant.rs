@@ -13,7 +13,7 @@
 //!    contrasts with Newton-ADMM's locally-terminated backtracking).
 
 use crate::common::{global_gradient_into, local_objective_on, record_iteration, DistributedRun, EngineSync};
-use nadmm_cluster::{Cluster, Communicator};
+use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec, Workspace};
 use nadmm_linalg::vector;
@@ -189,24 +189,13 @@ impl Giant {
             workspace: ws.stats(),
         }
     }
-
-    /// Convenience wrapper spawning one rank per shard and returning the
-    /// master's output.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::Giant` instead.
-    #[deprecated(since = "0.1.0", note = "use the `nadmm-experiment` builder (`SolverSpec::Giant`) instead")]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> DistributedRun {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
 mod tests {
     use super::*;
-    use nadmm_cluster::NetworkModel;
+    use crate::rank0;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
     use nadmm_objective::SoftmaxCrossEntropy;
     use nadmm_solver::{NewtonCg, NewtonConfig};
@@ -241,7 +230,9 @@ mod tests {
             lambda,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, None)
+        });
         let final_value = run.history.final_objective().unwrap();
         assert!(
             (final_value - newton.value) / newton.value.abs() < 0.05,
@@ -261,7 +252,9 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, None)
+        });
         // Per iteration: 3 algorithmic collectives + 1 instrumentation
         // allreduce; plus 1 instrumentation collective for iteration 0.
         let expected = 4 * iters as u64 + 1;
@@ -278,7 +271,9 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let first_acc = run.history.records[0].test_accuracy.unwrap();
         let last_acc = run.history.final_accuracy().unwrap();
         assert!(last_acc > first_acc, "accuracy should improve: {first_acc} -> {last_acc}");
@@ -295,7 +290,9 @@ mod tests {
             grad_tol: 1e3,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, None)
+        });
         assert!(run.history.len() <= 2, "a huge grad_tol must stop the run immediately");
     }
 }

@@ -35,8 +35,18 @@ pub use giant::{Giant, GiantConfig};
 pub use newton_exact::{reference_optimum, ReferenceOptimum};
 pub use sgd::{SyncSgd, SyncSgdConfig};
 
+/// Runs `solve` on every rank of `cluster`, one shard per rank, and returns
+/// rank 0's output.
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
+fn rank0<T: Send>(
+    cluster: &nadmm_cluster::Cluster,
+    shards: &[nadmm_data::Dataset],
+    solve: impl Fn(&mut dyn nadmm_cluster::Communicator, &nadmm_data::Dataset) -> T + Sync,
+) -> T {
+    cluster.run_sharded(shards, |comm, shard| solve(comm, shard)).swap_remove(0)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use nadmm_cluster::{Cluster, NetworkModel};
@@ -57,7 +67,9 @@ mod tests {
             lambda: 1e-3,
             ..Default::default()
         };
-        let run = Giant::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, None)
+        });
         assert!(run.history.final_objective().unwrap() < run.history.records[0].objective);
     }
 }

@@ -8,7 +8,7 @@
 //! contrasts with Newton-ADMM's single round.
 
 use crate::common::{local_objective_on, record_iteration, DistributedRun, EngineSync};
-use nadmm_cluster::{Cluster, Communicator};
+use nadmm_cluster::Communicator;
 use nadmm_data::Dataset;
 use nadmm_device::{Device, DeviceSpec};
 use nadmm_linalg::{gen, vector};
@@ -139,69 +139,13 @@ impl SyncSgd {
             workspace: ws.stats(),
         }
     }
-
-    /// Convenience wrapper spawning one rank per shard.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::SyncSgd` instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `nadmm-experiment` builder (`SolverSpec::SyncSgd`) instead"
-    )]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> DistributedRun {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
-    }
-
-    /// Runs the paper's protocol of grid-searching the step size and
-    /// reporting the best run (by final objective). `grid` is the list of
-    /// candidate step sizes.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::SyncSgdGrid` instead.
-    ///
-    /// # Panics
-    /// Panics if the grid is empty or no candidate produces a finite
-    /// objective.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `nadmm-experiment` builder (`SolverSpec::SyncSgdGrid`) instead"
-    )]
-    pub fn run_cluster_best_of_grid(
-        &self,
-        cluster: &Cluster,
-        shards: &[Dataset],
-        test: Option<&Dataset>,
-        grid: &[f64],
-    ) -> DistributedRun {
-        assert!(!grid.is_empty(), "step-size grid must not be empty");
-        let mut best: Option<DistributedRun> = None;
-        for &step in grid {
-            let cfg = SyncSgdConfig {
-                step_size: step,
-                ..self.config
-            };
-            let mut outputs = cluster.run_sharded(shards, |comm, shard| SyncSgd::new(cfg).run_distributed(comm, shard, test));
-            let run = outputs.swap_remove(0);
-            let candidate_obj = run.history.final_objective().unwrap_or(f64::INFINITY);
-            let is_better = best
-                .as_ref()
-                .and_then(|b| b.history.final_objective())
-                .map(|b| candidate_obj < b)
-                .unwrap_or(true);
-            if candidate_obj.is_finite() && is_better {
-                best = Some(run);
-            }
-        }
-        best.expect("at least one SGD run must produce a finite objective")
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster*` wrappers stay under test
 mod tests {
     use super::*;
-    use nadmm_cluster::NetworkModel;
+    use crate::rank0;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_weak, SyntheticConfig};
 
     fn dataset(n: usize, seed: u64) -> (Dataset, Dataset) {
@@ -225,7 +169,9 @@ mod tests {
             step_size: 0.5,
             ..Default::default()
         };
-        let run = SyncSgd::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            SyncSgd::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let first = run.history.records[0].objective;
         let last = run.history.final_objective().unwrap();
         assert!(last < first, "SGD should reduce the objective: {first} -> {last}");
@@ -244,40 +190,13 @@ mod tests {
             step_size: 0.1,
             ..Default::default()
         };
-        let run = SyncSgd::new(cfg).run_cluster(&cluster, &shards, None);
+        let run = rank0(&cluster, &shards, |comm, shard| {
+            SyncSgd::new(cfg).run_distributed(comm, shard, None)
+        });
         // 32/8 = 4 minibatches per epoch, each with 2 collectives (gradient +
         // sample count), plus 1 instrumentation allreduce per epoch and one
         // for epoch 0.
         let expected = 2 * (4 * 2 + 1) + 1;
         assert_eq!(run.comm_stats.collectives, expected as u64);
-    }
-
-    #[test]
-    fn grid_search_returns_the_best_run() {
-        let (train, _) = dataset(60, 3);
-        let (shards, _) = partition_weak(&train, 2, 30);
-        let cluster = Cluster::new(2, NetworkModel::ideal());
-        let cfg = SyncSgdConfig {
-            epochs: 5,
-            batch_size: 10,
-            lambda: 1e-3,
-            ..Default::default()
-        };
-        let run = SyncSgd::new(cfg).run_cluster_best_of_grid(&cluster, &shards, None, &[1e-6, 0.5, 1e3]);
-        // The middle step size should win; a tiny step barely moves and a
-        // huge step diverges (non-finite objectives are rejected).
-        let final_obj = run.history.final_objective().unwrap();
-        assert!(final_obj.is_finite());
-        let tiny_run = SyncSgd::new(SyncSgdConfig { step_size: 1e-6, ..cfg }).run_cluster(&cluster, &shards, None);
-        assert!(final_obj <= tiny_run.history.final_objective().unwrap() + 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_grid_is_rejected() {
-        let (train, _) = dataset(40, 4);
-        let (shards, _) = partition_weak(&train, 2, 20);
-        let cluster = Cluster::new(2, NetworkModel::ideal());
-        SyncSgd::new(SyncSgdConfig::default()).run_cluster_best_of_grid(&cluster, &shards, None, &[]);
     }
 }

@@ -2,14 +2,12 @@
 //! iteration vs one GIANT outer iteration on the same simulated cluster
 //! (this is the real-time analogue of the simulated Figure 2).
 
-// This bench predates the experiment layer and keeps exercising the legacy
-// per-solver wrappers directly.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_cluster::{Cluster, NetworkModel};
 use nadmm_data::{partition_strong, SyntheticConfig};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use nadmm_experiment::{run_spec_on, SolverSpec};
+use newton_admm::NewtonAdmmConfig;
 use std::hint::black_box;
 
 fn bench_epoch(c: &mut Criterion) {
@@ -26,7 +24,11 @@ fn bench_epoch(c: &mut Criterion) {
             b.iter(|| {
                 let cluster = Cluster::new(workers, NetworkModel::infiniband_100g());
                 let cfg = NewtonAdmmConfig::default().with_lambda(1e-5).with_max_iters(1);
-                black_box(NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None))
+                black_box(
+                    run_spec_on(&cluster, &SolverSpec::NewtonAdmm(cfg), &shards, None, None)
+                        .expect("epoch run")
+                        .history,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("giant", workers), &workers, |b, &workers| {
@@ -37,7 +39,11 @@ fn bench_epoch(c: &mut Criterion) {
                     lambda: 1e-5,
                     ..Default::default()
                 };
-                black_box(Giant::new(cfg).run_cluster(&cluster, &shards, None))
+                black_box(
+                    run_spec_on(&cluster, &SolverSpec::Giant(cfg), &shards, None, None)
+                        .expect("epoch run")
+                        .history,
+                )
             });
         });
     }

@@ -6,17 +6,15 @@
 //! a full subproblem solve) but cost orders of magnitude more time per epoch.
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin fig1
+//! cargo run --release -p nadmm-bench --example fig1
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{AideConfig, DaneConfig, Giant, GiantConfig, InexactDane};
+use nadmm_baselines::{AideConfig, DaneConfig, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 fn print_series(history: &RunHistory) {
     let mut table = TextTable::new(
@@ -53,18 +51,17 @@ fn main() {
     let second_order_epochs = 100;
     let dane_epochs = 10;
 
-    let admm = NewtonAdmm::new(
+    let run = |spec: SolverSpec| -> RunHistory { run_spec_on(&cluster, &spec, &shards, None, None).expect("fig1 run").history };
+    let admm = run(SolverSpec::NewtonAdmm(
         NewtonAdmmConfig::default()
             .with_lambda(lambda)
             .with_max_iters(second_order_epochs),
-    )
-    .run_cluster(&cluster, &shards, None);
-    let giant = Giant::new(GiantConfig {
+    ));
+    let giant = run(SolverSpec::Giant(GiantConfig {
         max_iters: second_order_epochs,
         lambda,
         ..Default::default()
-    })
-    .run_cluster(&cluster, &shards, None);
+    }));
     let dane_cfg = DaneConfig {
         max_iters: dane_epochs,
         lambda,
@@ -72,19 +69,14 @@ fn main() {
         svrg_step: 3e-4,
         ..Default::default()
     };
-    let dane = InexactDane::new(dane_cfg).run_cluster(&cluster, &shards, None);
-    let aide = InexactDane::new(dane_cfg).run_cluster_aide(
-        &cluster,
-        &shards,
-        None,
-        &AideConfig {
-            dane: dane_cfg,
-            tau: 10.0,
-            zeta: 0.3,
-        },
-    );
+    let dane = run(SolverSpec::InexactDane(dane_cfg));
+    let aide = run(SolverSpec::Aide(AideConfig {
+        dane: dane_cfg,
+        tau: 10.0,
+        zeta: 0.3,
+    }));
 
-    for history in [&admm.history, &giant.history, &dane.history, &aide.history] {
+    for history in [&admm, &giant, &dane, &aide] {
         print_series(history);
     }
 
@@ -98,9 +90,9 @@ fn main() {
             "time to objective < 0.45·F(0) (s)",
         ],
     );
-    let f0 = admm.history.records[0].objective;
+    let f0 = admm.records[0].objective;
     let target = 0.45 * f0;
-    for history in [&admm.history, &giant.history, &dane.history, &aide.history] {
+    for history in [&admm, &giant, &dane, &aide] {
         summary.add_row(&[
             history.solver.clone(),
             (history.records.len() - 1).to_string(),
@@ -116,9 +108,9 @@ fn main() {
     println!(
         "Paper shape check: InexactDANE/AIDE avg epoch time should be orders of magnitude above Newton-ADMM/GIANT \
          (here {:.2e}s and {:.2e}s vs {:.2e}s and {:.2e}s).",
-        dane.history.avg_epoch_time(),
-        aide.history.avg_epoch_time(),
-        admm.history.avg_epoch_time(),
-        giant.history.avg_epoch_time()
+        dane.avg_epoch_time(),
+        aide.avg_epoch_time(),
+        admm.avg_epoch_time(),
+        giant.avg_epoch_time()
     );
 }

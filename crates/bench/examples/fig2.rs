@@ -2,32 +2,36 @@
 //! Newton-ADMM and GIANT on all four datasets, workers ∈ {1, 2, 4, 8}.
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin fig2
+//! cargo run --release -p nadmm-bench --example fig2
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::TextTable;
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const EPOCHS: usize = 10;
 const LAMBDA: f64 = 1e-5;
 
 fn epoch_times(shards: &[Dataset], workers: usize) -> (f64, f64) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS))
-        .run_cluster(&cluster, shards, None);
-    let giant = Giant::new(GiantConfig {
+    let epoch_time = |spec: SolverSpec| {
+        run_spec_on(&cluster, &spec, shards, None, None)
+            .expect("fig2 run")
+            .history
+            .avg_epoch_time()
+    };
+    let admm = epoch_time(SolverSpec::NewtonAdmm(
+        NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(EPOCHS),
+    ));
+    let giant = epoch_time(SolverSpec::Giant(GiantConfig {
         max_iters: EPOCHS,
         lambda: LAMBDA,
         ..Default::default()
-    })
-    .run_cluster(&cluster, shards, None);
-    (admm.history.avg_epoch_time(), giant.history.avg_epoch_time())
+    }));
+    (admm, giant)
 }
 
 fn main() {

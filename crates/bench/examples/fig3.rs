@@ -8,34 +8,33 @@
 //! node / single reference solve.)
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin fig3
+//! cargo run --release -p nadmm-bench --example fig3
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{reference_optimum, Giant, GiantConfig};
+use nadmm_baselines::{reference_optimum, GiantConfig};
 use nadmm_bench::{bench_dataset, paper_cluster, strong_shards, weak_shards, WORKER_SWEEP};
 use nadmm_data::{Dataset, DatasetKind};
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::relative::{iterations_to_relative_objective, speedup_ratio};
-use nadmm_metrics::TextTable;
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use nadmm_metrics::{RunHistory, TextTable};
+use newton_admm::NewtonAdmmConfig;
 
 const LAMBDA: f64 = 1e-5;
 const THETA: f64 = 0.05;
 const MAX_EPOCHS: usize = 60;
 
-fn run_pair(shards: &[Dataset], workers: usize) -> (nadmm_metrics::RunHistory, nadmm_metrics::RunHistory) {
+fn run_pair(shards: &[Dataset], workers: usize) -> (RunHistory, RunHistory) {
     let cluster = paper_cluster(workers);
-    let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS))
-        .run_cluster(&cluster, shards, None);
-    let giant = Giant::new(GiantConfig {
+    let run = |spec: SolverSpec| run_spec_on(&cluster, &spec, shards, None, None).expect("fig3 run").history;
+    let admm = run(SolverSpec::NewtonAdmm(
+        NewtonAdmmConfig::default().with_lambda(LAMBDA).with_max_iters(MAX_EPOCHS),
+    ));
+    let giant = run(SolverSpec::Giant(GiantConfig {
         max_iters: MAX_EPOCHS,
         lambda: LAMBDA,
         ..Default::default()
-    })
-    .run_cluster(&cluster, shards, None);
-    (admm.history, giant.history)
+    }));
+    (admm, giant)
 }
 
 fn main() {

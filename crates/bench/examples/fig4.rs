@@ -6,17 +6,15 @@
 //! grid, and Newton-ADMM picks its best CG budget among {10, 20, 30}.
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin fig4
+//! cargo run --release -p nadmm-bench --example fig4
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{SyncSgd, SyncSgdConfig};
+use nadmm_baselines::SyncSgdConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const LAMBDA: f64 = 1e-5;
 const EPOCHS: usize = 30;
@@ -59,46 +57,49 @@ fn main() {
         let shards = weak_shards(&train, workers, per_worker);
         let cluster = paper_cluster(workers);
 
-        // Newton-ADMM: best of CG ∈ {10, 20, 30}, as in the paper.
-        let mut best_admm: Option<newton_admm::NewtonAdmmOutput> = None;
-        for cg in [10usize, 20, 30] {
-            let cfg = NewtonAdmmConfig::default()
-                .with_lambda(LAMBDA)
-                .with_max_iters(EPOCHS)
-                .with_cg_iters(cg);
-            let run = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, Some(&test));
-            let better = best_admm
-                .as_ref()
-                .map(|b| {
-                    let ours = run.history.final_objective().expect("rho-sweep run recorded no objective");
-                    let best = b.history.final_objective().expect("best rho-sweep run recorded no objective");
-                    ours < best
-                })
-                .unwrap_or(true);
-            if better {
-                best_admm = Some(run);
-            }
-        }
-        let admm = best_admm.expect("at least one Newton-ADMM run");
+        let run = |spec: SolverSpec| {
+            run_spec_on(&cluster, &spec, &shards, Some(&test), None)
+                .expect("fig4 run")
+                .history
+        };
+
+        // Newton-ADMM: best of CG ∈ {10, 20, 30}, as in the paper (the first
+        // of equal final objectives wins).
+        let admm = [10usize, 20, 30]
+            .into_iter()
+            .map(|cg| {
+                let cfg = NewtonAdmmConfig::default()
+                    .with_lambda(LAMBDA)
+                    .with_max_iters(EPOCHS)
+                    .with_cg_iters(cg);
+                run(SolverSpec::NewtonAdmm(cfg))
+            })
+            .reduce(|best, next| {
+                if next.final_objective() < best.final_objective() {
+                    next
+                } else {
+                    best
+                }
+            })
+            .expect("at least one Newton-ADMM run");
 
         // Synchronous SGD: batch 128, best step size from a small grid.
-        let sgd_cfg = SyncSgdConfig {
-            epochs: EPOCHS,
-            lambda: LAMBDA,
-            batch_size: 128,
-            ..Default::default()
-        };
-        let sgd = SyncSgd::new(sgd_cfg).run_cluster_best_of_grid(&cluster, &shards, Some(&test), &[1e-2, 1e-1, 1.0, 10.0]);
+        let sgd = run(SolverSpec::SyncSgdGrid {
+            base: SyncSgdConfig {
+                epochs: EPOCHS,
+                lambda: LAMBDA,
+                batch_size: 128,
+                ..Default::default()
+            },
+            grid: vec![1e-2, 1e-1, 1.0, 10.0],
+        });
 
         let name = format!("{}-like", kind.paper_name().to_lowercase());
-        print_series(&name, &admm.history);
-        print_series(&name, &sgd.history);
+        print_series(&name, &admm);
+        print_series(&name, &sgd);
 
-        let speedup = sgd.history.total_sim_time() / admm.history.total_sim_time().max(1e-12);
-        for (solver_history, total) in [
-            (&admm.history, admm.history.total_sim_time()),
-            (&sgd.history, sgd.history.total_sim_time()),
-        ] {
+        let speedup = sgd.total_sim_time() / admm.total_sim_time().max(1e-12);
+        for (solver_history, total) in [(&admm, admm.total_sim_time()), (&sgd, sgd.total_sim_time())] {
             summary.add_row(&[
                 name.clone(),
                 workers.to_string(),

@@ -3,17 +3,15 @@
 //! average epoch time of both solvers).
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin fig5
+//! cargo run --release -p nadmm-bench --example fig5
 //! ```
 
-// These figure-reproduction scripts predate the experiment layer and keep
-// exercising the legacy per-solver wrappers directly.
-#![allow(deprecated)]
-use nadmm_baselines::{Giant, GiantConfig};
+use nadmm_baselines::GiantConfig;
 use nadmm_bench::{bench_dataset, paper_cluster, weak_shards};
 use nadmm_data::DatasetKind;
+use nadmm_experiment::{run_spec_on, SolverSpec};
 use nadmm_metrics::{RunHistory, TextTable};
-use newton_admm::{NewtonAdmm, NewtonAdmmConfig};
+use newton_admm::NewtonAdmmConfig;
 
 const EPOCHS: usize = 100;
 const WORKERS: usize = 16;
@@ -45,24 +43,26 @@ fn main() {
         &["lambda", "solver", "avg epoch time (s)", "final objective", "final acc"],
     );
 
+    let run = |spec: SolverSpec| {
+        run_spec_on(&cluster, &spec, &shards, Some(&test), None)
+            .expect("fig5 run")
+            .history
+    };
     for lambda in [1e-3, 1e-5] {
-        let admm = NewtonAdmm::new(NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS)).run_cluster(
-            &cluster,
-            &shards,
-            Some(&test),
-        );
-        let giant = Giant::new(GiantConfig {
+        let admm = run(SolverSpec::NewtonAdmm(
+            NewtonAdmmConfig::default().with_lambda(lambda).with_max_iters(EPOCHS),
+        ));
+        let giant = run(SolverSpec::Giant(GiantConfig {
             max_iters: EPOCHS,
             lambda,
             ..Default::default()
-        })
-        .run_cluster(&cluster, &shards, Some(&test));
+        }));
 
         let label = format!("λ = {lambda:.0e}");
-        print_series(&label, &admm.history);
-        print_series(&label, &giant.history);
+        print_series(&label, &admm);
+        print_series(&label, &giant);
 
-        for history in [&admm.history, &giant.history] {
+        for history in [&admm, &giant] {
             summary.add_row(&[
                 label.clone(),
                 history.solver.clone(),

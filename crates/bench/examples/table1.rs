@@ -4,7 +4,7 @@
 //! by this reproduction (scaled sizes, storage format, achieved sparsity).
 //!
 //! ```text
-//! cargo run --release -p nadmm-bench --bin table1
+//! cargo run --release -p nadmm-bench --example table1
 //! ```
 
 use nadmm_bench::bench_config;

@@ -2,18 +2,19 @@
 //!
 //! Benchmark harness of the reproduction:
 //!
-//! * one runnable binary per paper table/figure (`table1`, `fig1` … `fig5`),
-//!   each printing the same rows/series the paper reports (see
-//!   EXPERIMENTS.md at the workspace root for the recorded outputs and the
-//!   paper-vs-measured comparison), and
+//! * one example per paper table/figure (`table1`, `fig1` … `fig5`), each
+//!   running its solvers through the experiment layer and printing the same
+//!   rows/series the paper reports,
 //! * criterion micro-benches for the kernels the solvers are built from
 //!   (GEMM, Hessian-vector products, CG, collectives, epoch time, penalty
-//!   rules).
+//!   rules), and
+//! * the report-gate binaries (`check_*_report`) CI runs on the benches'
+//!   JSON output.
 //!
-//! Every figure binary accepts a `NADMM_SCALE` environment variable
+//! Every figure example accepts a `NADMM_SCALE` environment variable
 //! (default `1.0`): sample counts are multiplied by it, so
-//! `NADMM_SCALE=4 cargo run --release -p nadmm-bench --bin fig2` runs a 4×
-//! larger experiment.
+//! `NADMM_SCALE=4 cargo run --release -p nadmm-bench --example fig2` runs a
+//! 4× larger experiment.
 
 use nadmm_cluster::{Cluster, NetworkModel};
 use nadmm_data::{partition_strong, partition_weak, Dataset, DatasetKind, SyntheticConfig};
@@ -90,9 +91,9 @@ pub fn scaled(n: usize) -> usize {
     ((n as f64 * scale_factor()) as usize).max(64)
 }
 
-/// The dataset configurations used by the figure binaries: scaled-down
-/// versions of the paper's four datasets that run on one machine. The scale
-/// relative to Table 1 is recorded in EXPERIMENTS.md.
+/// The dataset configurations used by the figure examples: scaled-down
+/// versions of the paper's four datasets that run on one machine. The
+/// `table1` example prints their scale relative to the paper's Table 1.
 pub fn bench_config(kind: DatasetKind) -> SyntheticConfig {
     match kind {
         DatasetKind::Higgs => SyntheticConfig::higgs_like()

@@ -21,10 +21,21 @@ use nadmm_objective::{Objective, ProximalAugmented, SoftmaxCrossEntropy};
 use nadmm_serve::{InferenceSession, ModelArtifact, Provenance};
 use nadmm_solver::{conjugate_gradient_into, CgConfig, NewtonCg, NewtonConfig};
 use newton_admm::{AdmmWorker, NewtonAdmmConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Runs the tests of this binary one at a time. A test that changes the
+/// process-wide pool width or parallel threshold must not do so while a
+/// sibling test is counting allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its failure is already reported.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn problem() -> (SoftmaxCrossEntropy, Vec<f64>) {
     let (train, _) = SyntheticConfig::mnist_like()
@@ -41,6 +52,7 @@ fn problem() -> (SoftmaxCrossEntropy, Vec<f64>) {
 
 #[test]
 fn warm_cg_solve_performs_zero_heap_allocations() {
+    let _serial = serial();
     let (obj, x) = problem();
     let mut ws = Workspace::new();
     let mut grad = vec![0.0; obj.dim()];
@@ -86,6 +98,7 @@ fn warm_cg_solve_performs_zero_heap_allocations() {
 
 #[test]
 fn warm_newton_step_performs_zero_heap_allocations() {
+    let _serial = serial();
     let (obj, x) = problem();
     let aug = ProximalAugmented::new(obj.clone(), x.clone(), vec![0.0; x.len()], 1.5);
     let solver = NewtonCg::new(NewtonConfig::default());
@@ -110,6 +123,7 @@ fn warm_newton_step_performs_zero_heap_allocations() {
 
 #[test]
 fn warm_distributed_admm_outer_iteration_is_allocation_free() {
+    let _serial = serial();
     // The ISSUE-2 acceptance criterion: a warm distributed Newton-ADMM outer
     // iteration — compute *and* collectives, instrumentation included —
     // allocates nothing on any rank. The allocation counters are per-thread,
@@ -171,6 +185,7 @@ fn warm_distributed_admm_outer_iteration_is_allocation_free() {
 
 #[test]
 fn traced_warm_admm_outer_iteration_is_allocation_free() {
+    let _serial = serial();
     // The ISSUE-10 acceptance criterion: arming the span tracer must not
     // break the zero-alloc contract. Same warm distributed outer iteration
     // as above, but with a per-rank recorder installed. The ring capacity is
@@ -223,6 +238,7 @@ fn traced_warm_admm_outer_iteration_is_allocation_free() {
 
 #[test]
 fn warm_batched_predict_performs_zero_heap_allocations() {
+    let _serial = serial();
     // The ISSUE-5 acceptance criterion: the serving engine's hot path — a
     // warm `predict_batch_into` call (batched GEMM margins + argmax decode)
     // and the top-k/softmax variant — makes zero heap allocations once the
@@ -270,6 +286,7 @@ fn warm_batched_predict_performs_zero_heap_allocations() {
 
 #[test]
 fn workspace_pool_hits_after_warmup_in_minimize() {
+    let _serial = serial();
     let (obj, x0) = problem();
     let solver = NewtonCg::new(NewtonConfig {
         max_iters: 3,
@@ -289,6 +306,7 @@ fn workspace_pool_hits_after_warmup_in_minimize() {
 
 #[test]
 fn forced_thread_pool_dispatch_performs_zero_heap_allocations() {
+    let _serial = serial();
     // The work-sharing pool's dispatch path must be allocation-free: the job
     // is published as a raw fat pointer in a pre-existing slot (no boxing),
     // chunk indices come from an atomic counter, and `det::fold` keeps its

@@ -13,7 +13,7 @@
 
 use crate::config::NewtonAdmmConfig;
 use crate::penalty::{residual_balancing_update, spectral_update, PenaltyRule, SpectralState};
-use nadmm_cluster::{Cluster, CollectiveHandle, CommStats, Communicator};
+use nadmm_cluster::{CollectiveHandle, CommStats, Communicator};
 use nadmm_data::Dataset;
 use nadmm_device::{Device, Workspace, WorkspaceStats};
 use nadmm_linalg::vector;
@@ -52,6 +52,8 @@ pub struct NewtonAdmmOutput {
 pub struct InstrumentationHandles {
     handle: CollectiveHandle,
     has_accuracy: bool,
+    /// Host time at which the iterate being recorded was complete.
+    stamped: Instant,
 }
 
 /// Per-rank state of the distributed Newton-ADMM solver.
@@ -281,8 +283,10 @@ impl AdmmWorker {
     /// iterate: one mixed collective carrying the global objective, mean
     /// penalty and root-evaluated accuracy (sum) plus the consensus residual
     /// (max). The local evaluations are instrumentation and not billed as
-    /// solver compute.
+    /// solver compute. The record's host wall-clock stamp is taken here, so
+    /// it does not include the next iteration's overlapped local solve.
     pub fn start_instrumentation(&mut self, comm: &mut dyn Communicator, test: Option<&Dataset>) -> InstrumentationHandles {
+        let stamped = Instant::now();
         let has_accuracy = self.cfg.record_accuracy && test.is_some();
         if self.dead {
             // A dead rank's shard has left the problem: it contributes zero
@@ -291,7 +295,11 @@ impl AdmmWorker {
             // is the survivors' objective (plus regulariser) and `mean_rho`
             // averages dead ranks as 0.
             let handle = comm.start_allreduce_sum_max_tombstone(4, 3);
-            return InstrumentationHandles { handle, has_accuracy };
+            return InstrumentationHandles {
+                handle,
+                has_accuracy,
+                stamped,
+            };
         }
         let loss = self.local.value_ws(&self.z, &mut self.ws);
         // Only the root contributes a non-zero accuracy, so the *sum* equals
@@ -302,13 +310,18 @@ impl AdmmWorker {
         };
         let residual = vector::distance(&self.x, &self.z);
         let handle = comm.start_allreduce_sum_max(&[loss, self.rho, acc, residual], 3);
-        InstrumentationHandles { handle, has_accuracy }
+        InstrumentationHandles {
+            handle,
+            has_accuracy,
+            stamped,
+        }
     }
 
     /// Completes the instrumentation allreduces and assembles the iteration
     /// record. The record's simulated time is the cluster-wide completion
     /// time of the collectives — independent of how much of the *next*
-    /// iteration's solve this rank overlapped with them.
+    /// iteration's solve this rank overlapped with them. Its wall time is the
+    /// host time from `wall_start` to [`AdmmWorker::start_instrumentation`].
     pub fn finish_instrumentation(
         &mut self,
         comm: &mut dyn Communicator,
@@ -320,7 +333,8 @@ impl AdmmWorker {
         let mut reduced = [0.0; 4];
         comm.wait_into(handles.handle, &mut reduced);
         let objective = reduced[0] + 0.5 * self.cfg.lambda * vector::norm2_sq(&self.z);
-        let mut record = IterationRecord::new(iteration, sim_time, wall_start.elapsed().as_secs_f64(), objective)
+        let wall_time = handles.stamped.saturating_duration_since(wall_start).as_secs_f64();
+        let mut record = IterationRecord::new(iteration, sim_time, wall_time, objective)
             .with_mean_rho(reduced[1] / comm.size() as f64)
             .with_comm_bytes(comm.stats().bytes_sent)
             .with_consensus_residual(reduced[3]);
@@ -416,26 +430,6 @@ impl NewtonAdmm {
             shed_newton_steps: worker.shed_newton_steps,
             local_x: worker.x,
         }
-    }
-
-    /// Convenience wrapper: spawns a simulated cluster with one rank per
-    /// shard, runs [`NewtonAdmm::run_distributed`] on each, and returns the
-    /// master rank's output.
-    ///
-    /// Superseded by the experiment layer (`nadmm-experiment`): build an
-    /// `Experiment` with `SolverSpec::NewtonAdmm` instead, which validates
-    /// the configuration, owns the rank spawning, and returns a structured
-    /// `RunReport`.
-    ///
-    /// # Panics
-    /// Panics if the shard count does not match the cluster size.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `nadmm-experiment` builder (`SolverSpec::NewtonAdmm`) instead"
-    )]
-    pub fn run_cluster(&self, cluster: &Cluster, shards: &[Dataset], test: Option<&Dataset>) -> NewtonAdmmOutput {
-        let mut outputs = cluster.run_sharded(shards, |comm, shard| self.run_distributed(comm, shard, test));
-        outputs.swap_remove(0)
     }
 
     /// Sequential single-process reference implementation of Algorithm 2,
@@ -535,11 +529,10 @@ impl NewtonAdmm {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated `run_cluster` wrapper stays under test
 mod tests {
     use super::*;
     use crate::penalty::SpectralConfig;
-    use nadmm_cluster::NetworkModel;
+    use nadmm_cluster::{Cluster, NetworkModel};
     use nadmm_data::{partition_strong, SyntheticConfig};
     use nadmm_solver::{CgConfig, NewtonConfig};
 
@@ -550,6 +543,13 @@ mod tests {
             .with_num_features(features)
             .with_num_classes(classes)
             .generate(seed)
+    }
+
+    /// Runs Newton-ADMM on every rank of `cluster` and returns rank 0's output.
+    fn run_on(cluster: &Cluster, cfg: NewtonAdmmConfig, shards: &[Dataset], test: Option<&Dataset>) -> NewtonAdmmOutput {
+        cluster
+            .run_sharded(shards, |comm, shard| NewtonAdmm::new(cfg).run_distributed(comm, shard, test))
+            .swap_remove(0)
     }
 
     fn quick_config(iters: usize) -> NewtonAdmmConfig {
@@ -579,7 +579,7 @@ mod tests {
         let cfg = quick_config(8);
         let reference = NewtonAdmm::new(cfg).run_reference(&shards, None);
         let cluster = Cluster::new(3, NetworkModel::infiniband_100g());
-        let distributed = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let distributed = run_on(&cluster, cfg, &shards, None);
         // The consensus iterates must agree to floating-point reduction noise.
         let dist = vector::distance(&reference.z, &distributed.z);
         let scale = vector::norm2(&reference.z).max(1.0);
@@ -609,7 +609,7 @@ mod tests {
         let (train, _) = small_dataset(80, 3, 6, 3);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let out = NewtonAdmm::new(quick_config(6)).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, quick_config(6), &shards, None);
         let residuals: Vec<f64> = out.history.records.iter().filter_map(|r| r.consensus_residual).collect();
         assert_eq!(residuals.len(), 7, "every distributed record carries the residual");
         assert!(residuals[1] > 0.0);
@@ -677,7 +677,7 @@ mod tests {
         let (train, _) = small_dataset(80, 3, 6, 7);
         let (shards, _) = partition_strong(&train, 4);
         let cluster = Cluster::new(4, NetworkModel::infiniband_100g());
-        let out = NewtonAdmm::new(quick_config(5)).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, quick_config(5), &shards, None);
         assert!(out.history.total_sim_time() > 0.0);
         assert!(out.comm_stats.collectives > 0);
         assert!(out.comm_stats.bytes_sent > 0.0);
@@ -701,12 +701,12 @@ mod tests {
         let (train, _) = small_dataset(90, 3, 8, 9);
         let (shards, _) = partition_strong(&train, 3);
         let cluster = Cluster::new(3, NetworkModel::ethernet_10g());
-        let overlapped = NewtonAdmm::new(quick_config(6)).run_cluster(&cluster, &shards, None);
+        let overlapped = run_on(&cluster, quick_config(6), &shards, None);
         let blocking_cfg = NewtonAdmmConfig {
             consensus_tol: 1e-300,
             ..quick_config(6)
         };
-        let blocking = NewtonAdmm::new(blocking_cfg).run_cluster(&cluster, &shards, None);
+        let blocking = run_on(&cluster, blocking_cfg, &shards, None);
         assert_eq!(overlapped.z, blocking.z, "overlap must not change the math");
         for (a, b) in overlapped.history.records.iter().zip(&blocking.history.records) {
             assert!((a.objective - b.objective).abs() < 1e-12 * (1.0 + a.objective.abs()));
@@ -714,6 +714,22 @@ mod tests {
         // Overlap hides instrumentation time behind the next solve, so the
         // overlapped run cannot be slower.
         assert!(overlapped.history.total_sim_time() <= blocking.history.total_sim_time() + 1e-12);
+    }
+
+    #[test]
+    fn wall_time_is_stamped_when_instrumentation_starts() {
+        let (train, _) = small_dataset(40, 3, 4, 10);
+        let cluster = Cluster::new(1, NetworkModel::ideal());
+        let records = cluster.run_sharded(std::slice::from_ref(&train), |comm, shard| {
+            let mut worker = AdmmWorker::new(&quick_config(1), shard);
+            let wall_start = Instant::now();
+            let handles = worker.start_instrumentation(comm, None);
+            // Stands in for the next iteration's overlapped local solve.
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            worker.finish_instrumentation(comm, handles, 0, wall_start)
+        });
+        let stamp = records[0].wall_time_sec;
+        assert!(stamp < 0.2, "the record must not include the overlapped work: {stamp} s");
     }
 
     #[test]
@@ -727,7 +743,7 @@ mod tests {
             ..Default::default()
         };
         let cluster = Cluster::new(2, NetworkModel::ideal());
-        let out = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let out = run_on(&cluster, cfg, &shards, None);
         assert!(out.history.len() < 101, "should stop well before 100 iterations");
     }
 
@@ -736,7 +752,7 @@ mod tests {
         let (train, test) = small_dataset(90, 3, 8, 11);
         let (shards, _) = partition_strong(&train, 3);
         let cluster = Cluster::new(3, NetworkModel::infiniband_100g());
-        let base = NewtonAdmm::new(quick_config(5)).run_cluster(&cluster, &shards, Some(&test));
+        let base = run_on(&cluster, quick_config(5), &shards, Some(&test));
         // `None` knobs are the *same* config, so run the explicit struct to
         // prove the defaults are the disabled values.
         let cfg = NewtonAdmmConfig {
@@ -744,7 +760,7 @@ mod tests {
             dropout: None,
             ..quick_config(5)
         };
-        let explicit = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let explicit = run_on(&cluster, cfg, &shards, Some(&test));
         assert_eq!(base.z, explicit.z);
         assert_eq!(base.shed_newton_steps, 0);
         for (a, b) in base.history.records.iter().zip(&explicit.history.records) {
@@ -764,7 +780,7 @@ mod tests {
 
         // Measure a fast rank's synchronous per-iteration compute to pick a
         // deadline that fits all 4 steps at 1× but not at 8×.
-        let sync = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+        let sync = run_on(&cluster, cfg, &shards, None);
         let per_iter = sync.comm_stats.compute_time / 6.0;
         let deadline = per_iter * 1.5;
 
@@ -941,6 +957,6 @@ mod tests {
         let (train, _) = small_dataset(40, 3, 4, 9);
         let (shards, _) = partition_strong(&train, 2);
         let cluster = Cluster::new(3, NetworkModel::ideal());
-        NewtonAdmm::new(quick_config(2)).run_cluster(&cluster, &shards, None);
+        run_on(&cluster, quick_config(2), &shards, None);
     }
 }

@@ -179,8 +179,8 @@ impl SyntheticConfig {
         self
     }
 
-    /// Ratio between this config's sizes and the paper's Table 1 sizes —
-    /// recorded in EXPERIMENTS.md for every figure.
+    /// Ratio between this config's sizes and the paper's Table 1 sizes (the
+    /// `table1` example prints it for every dataset).
     pub fn scale_factor(&self) -> f64 {
         let (_, n_paper, _, _) = self.kind.paper_table1();
         self.train_size as f64 / n_paper as f64

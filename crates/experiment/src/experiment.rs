@@ -273,7 +273,9 @@ impl Default for Experiment {
 /// Runs one solver spec on a cluster: a single run for ordinary specs, one
 /// run per candidate (keeping the best by final objective) for the SGD grid.
 /// With `rank_devices` set, every run instantiates one solver per rank so
-/// rank `i` computes on `rank_devices[i]` (a heterogeneous fleet).
+/// rank `i` computes on `rank_devices[i]` (a heterogeneous fleet). This is
+/// the one way to run a solver on a simulated cluster; the per-iteration
+/// records are in the report's `history`.
 pub fn run_spec_on(
     cluster: &Cluster,
     spec: &SolverSpec,
@@ -298,24 +300,7 @@ pub fn run_spec_on(
     };
     match spec {
         SolverSpec::SyncSgdGrid { base, grid } => {
-            let mut best: Option<RunReport> = None;
-            for &step in grid {
-                let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
-                    step_size: step,
-                    ..*base
-                });
-                let report = run_one(&candidate);
-                let objective = report.final_objective.unwrap_or(f64::INFINITY);
-                let is_better = best
-                    .as_ref()
-                    .and_then(|b| b.final_objective)
-                    .map(|b| objective < b)
-                    .unwrap_or(true);
-                if objective.is_finite() && is_better {
-                    best = Some(report);
-                }
-            }
-            best.ok_or(ExperimentError::GridDiverged)
+            best_of_grid(base, grid, |candidate| Some(run_one(candidate))).ok_or(ExperimentError::GridDiverged)
         }
         other => Ok(run_one(other)),
     }
@@ -325,8 +310,8 @@ pub fn run_spec_on(
 /// external transport, reclaiming the transport between candidate runs so a
 /// single connection serves the whole experiment. Rank 0 receives every
 /// peer's communication counters through the transport's stats side channel
-/// and annotates its own report with the fleet's [`RankSkew`] — exactly the
-/// scaffolding [`run_solver_on`] applies to thread-backed runs. Returns
+/// and annotates its own report with the fleet's [`RankSkew`], as
+/// [`run_solver_on`] does for thread-backed runs. Returns
 /// `(Some(report), transport)` on rank 0 and `(None, transport)` elsewhere.
 pub fn run_spec_over(
     cluster: &Cluster,
@@ -339,39 +324,51 @@ pub fn run_spec_over(
     match spec {
         SolverSpec::SyncSgdGrid { base, grid } => {
             // Every rank runs every candidate (the collectives need the
-            // whole fleet), but only rank 0 holds reports to select among —
-            // the same best-by-final-objective arithmetic as the
-            // thread-backed grid.
+            // whole fleet), but only rank 0 holds reports to select among.
             let root = transport.rank() == 0;
-            let mut reclaimed = transport;
-            let mut best: Option<RunReport> = None;
-            for &step in grid {
-                let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
-                    step_size: step,
-                    ..*base
-                });
-                let (report, back) = run_candidate_over(cluster, &candidate, shard, test, rank_devices, reclaimed);
-                reclaimed = back;
-                if let Some(report) = report {
-                    let objective = report.final_objective.unwrap_or(f64::INFINITY);
-                    let is_better = best
-                        .as_ref()
-                        .and_then(|b| b.final_objective)
-                        .map(|b| objective < b)
-                        .unwrap_or(true);
-                    if objective.is_finite() && is_better {
-                        best = Some(report);
-                    }
-                }
-            }
+            let mut slot = Some(transport);
+            let best = best_of_grid(base, grid, |candidate| {
+                let transport = slot.take().expect("every candidate run hands the transport back");
+                let (report, back) = run_candidate_over(cluster, candidate, shard, test, rank_devices, transport);
+                slot = Some(back);
+                report
+            });
+            let transport = slot.expect("every candidate run hands the transport back");
             if root {
-                Ok((Some(best.ok_or(ExperimentError::GridDiverged)?), reclaimed))
+                Ok((Some(best.ok_or(ExperimentError::GridDiverged)?), transport))
             } else {
-                Ok((None, reclaimed))
+                Ok((None, transport))
             }
         }
         other => Ok(run_candidate_over(cluster, other, shard, test, rank_devices, transport)),
     }
+}
+
+/// The paper's SGD protocol: runs every step size of `grid` on `base`
+/// through `run` and keeps the report with the lowest final objective.
+/// Non-finite objectives never win and the first of equal objectives does.
+/// `run` returns `None` on ranks that hold no report.
+fn best_of_grid(base: &SyncSgdConfig, grid: &[f64], mut run: impl FnMut(&SolverSpec) -> Option<RunReport>) -> Option<RunReport> {
+    let mut best: Option<RunReport> = None;
+    for &step in grid {
+        let candidate = SolverSpec::SyncSgd(SyncSgdConfig {
+            step_size: step,
+            ..*base
+        });
+        let Some(report) = run(&candidate) else {
+            continue;
+        };
+        let objective = report.final_objective.unwrap_or(f64::INFINITY);
+        let is_better = best
+            .as_ref()
+            .and_then(|b| b.final_objective)
+            .map(|b| objective < b)
+            .unwrap_or(true);
+        if objective.is_finite() && is_better {
+            best = Some(report);
+        }
+    }
+    best
 }
 
 /// Runs one non-grid candidate over the transport: connect a fresh
@@ -500,12 +497,14 @@ mod tests {
             .with_cluster(ClusterSpec::new(2, NetworkModel::ideal()))
             .with_solver(SolverSpec::SyncSgdGrid {
                 base,
-                grid: vec![1e-7, 0.5],
+                grid: vec![1e-7, 0.5, 1e3],
             })
             .run()
             .unwrap();
         assert_eq!(reports.len(), 1, "a grid contributes one report");
         let grid_best = reports[0].final_objective.unwrap();
+        // The huge step diverges and must never be chosen.
+        assert!(grid_best.is_finite(), "a diverged candidate won: {grid_best}");
         // The tiny step barely moves; the grid must have picked the better one.
         let tiny = Experiment::new()
             .with_data_spec(tiny_data_spec())

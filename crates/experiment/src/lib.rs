@@ -24,10 +24,11 @@
 //!   final objective/accuracy, per-collective [`CommStats`] breakdown,
 //!   workspace-pool counters, simulated and wall time; serializes to JSON.
 //!
-//! Every run through this layer is bit-identical to the superseded
-//! per-solver `run_cluster` entry points (proven by the equivalence tests in
-//! `tests/equivalence.rs`): the experiment layer adds validation, uniform
-//! reporting and declarative composition, not new numerics.
+//! This layer is the one place ranks are spawned: every run through it is
+//! bit-identical to calling the solver's `run_distributed` on each rank of
+//! `Cluster::run_sharded` directly (proven by the equivalence tests in
+//! `tests/equivalence.rs`). It adds validation, uniform reporting and
+//! declarative composition, not new numerics.
 
 pub mod experiment;
 pub mod report;

@@ -339,8 +339,7 @@ pub fn validate_device(config: &str, device: &DeviceSpec) -> Result<(), ConfigEr
 
 /// A solver plus its full typed configuration — the unit an experiment
 /// sweeps over. The AIDE acceleration and the SGD step-size grid search are
-/// first-class variants, absorbing the old `run_cluster_aide` and
-/// `run_cluster_best_of_grid` entry points.
+/// first-class variants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SolverSpec {
     /// The paper's method.

@@ -1,16 +1,15 @@
-//! Equivalence proofs: every solver run through the new `Experiment` API
-//! produces **bit-identical** iteration records to the old direct
-//! `run_cluster` entry points, for every solver and for ranks ∈ {1, 4}.
+//! Equivalence proofs: every solver run through the `Experiment` API
+//! produces **bit-identical** iteration records to calling the solver's
+//! `run_distributed` directly on every rank of `Cluster::run_sharded`, for
+//! every solver and for ranks ∈ {1, 4}.
 //!
 //! "Bit-identical" means every numeric field of every record compares equal
 //! by `f64::to_bits`, *except* `wall_time_sec`, which measures the host
 //! machine and differs between any two runs by construction. The final
 //! iterates are also compared exactly.
 
-#![allow(deprecated)] // the whole point is to compare against the deprecated entry points
-
 use nadmm_baselines::{AideConfig, DaneConfig, Disco, DiscoConfig, Giant, GiantConfig, InexactDane, SyncSgd, SyncSgdConfig};
-use nadmm_cluster::{Cluster, NetworkModel};
+use nadmm_cluster::{Cluster, Communicator, NetworkModel};
 use nadmm_data::{partition_strong, Dataset, SyntheticConfig};
 use nadmm_experiment::{ClusterSpec, Experiment, RunReport, SolverSpec};
 use nadmm_metrics::RunHistory;
@@ -94,6 +93,15 @@ fn assert_iterates_bit_identical(old: &[f64], new: &[f64]) {
     }
 }
 
+/// Runs `solve` on every rank of a `ranks`-node cluster, one strong-partition
+/// shard per rank, and returns rank 0's output.
+fn run_direct<T: Send>(train: &Dataset, ranks: usize, solve: impl Fn(&mut dyn Communicator, &Dataset) -> T + Sync) -> T {
+    let (shards, _) = partition_strong(train, ranks);
+    Cluster::new(ranks, NetworkModel::infiniband_100g())
+        .run_sharded(&shards, |comm, shard| solve(comm, shard))
+        .swap_remove(0)
+}
+
 /// Runs one solver spec through the Experiment API on an in-memory dataset.
 fn run_new_api(spec: SolverSpec, train: &Dataset, test: Option<&Dataset>, ranks: usize) -> RunReport {
     Experiment::new()
@@ -110,9 +118,9 @@ fn newton_admm_is_bit_identical_through_the_experiment_api() {
     let (train, test) = data(1);
     let cfg = NewtonAdmmConfig::default().with_max_iters(5).with_lambda(1e-3);
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let old = run_direct(&train, ranks, |comm, shard| {
+            NewtonAdmm::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let new = run_new_api(SolverSpec::NewtonAdmm(cfg), &train, Some(&test), ranks);
         assert_histories_bit_identical(&old.history, &new.history);
         assert_iterates_bit_identical(&old.z, &new.final_w);
@@ -130,9 +138,9 @@ fn giant_is_bit_identical_through_the_experiment_api() {
         ..Default::default()
     };
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = Giant::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let old = run_direct(&train, ranks, |comm, shard| {
+            Giant::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let new = run_new_api(SolverSpec::Giant(cfg), &train, Some(&test), ranks);
         assert_histories_bit_identical(&old.history, &new.history);
         assert_iterates_bit_identical(&old.w, &new.final_w);
@@ -152,9 +160,9 @@ fn inexact_dane_is_bit_identical_through_the_experiment_api() {
         ..Default::default()
     };
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = InexactDane::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let old = run_direct(&train, ranks, |comm, shard| {
+            InexactDane::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let new = run_new_api(SolverSpec::InexactDane(cfg), &train, Some(&test), ranks);
         assert_histories_bit_identical(&old.history, &new.history);
         assert_iterates_bit_identical(&old.w, &new.final_w);
@@ -178,9 +186,9 @@ fn aide_is_bit_identical_through_the_experiment_api() {
         zeta: 0.5,
     };
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = InexactDane::new(aide.dane).run_cluster_aide(&cluster, &shards, Some(&test), &aide);
+        let old = run_direct(&train, ranks, |comm, shard| {
+            InexactDane::new(aide.dane).run_distributed_aide(comm, shard, Some(&test), &aide)
+        });
         let new = run_new_api(SolverSpec::Aide(aide), &train, Some(&test), ranks);
         assert_eq!(new.solver, "aide");
         assert_histories_bit_identical(&old.history, &new.history);
@@ -198,9 +206,9 @@ fn disco_is_bit_identical_through_the_experiment_api() {
         ..Default::default()
     };
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = Disco::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let old = run_direct(&train, ranks, |comm, shard| {
+            Disco::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let new = run_new_api(SolverSpec::Disco(cfg), &train, Some(&test), ranks);
         assert_histories_bit_identical(&old.history, &new.history);
         assert_iterates_bit_identical(&old.w, &new.final_w);
@@ -219,9 +227,9 @@ fn sync_sgd_is_bit_identical_through_the_experiment_api() {
         ..Default::default()
     };
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = SyncSgd::new(cfg).run_cluster(&cluster, &shards, Some(&test));
+        let old = run_direct(&train, ranks, |comm, shard| {
+            SyncSgd::new(cfg).run_distributed(comm, shard, Some(&test))
+        });
         let new = run_new_api(SolverSpec::SyncSgd(cfg), &train, Some(&test), ranks);
         assert_histories_bit_identical(&old.history, &new.history);
         assert_iterates_bit_identical(&old.w, &new.final_w);
@@ -240,9 +248,23 @@ fn sgd_grid_search_is_bit_identical_through_the_experiment_api() {
     };
     let grid = [1e-7, 0.5, 1e3];
     for ranks in [1usize, 4] {
-        let (shards, _) = partition_strong(&train, ranks);
-        let cluster = Cluster::new(ranks, NetworkModel::infiniband_100g());
-        let old = SyncSgd::new(base).run_cluster_best_of_grid(&cluster, &shards, Some(&test), &grid);
+        // The protocol, spelled out: run every candidate directly and keep
+        // the first lowest finite final objective.
+        let candidates: Vec<_> = grid
+            .iter()
+            .map(|&step_size| {
+                let cfg = SyncSgdConfig { step_size, ..base };
+                run_direct(&train, ranks, |comm, shard| {
+                    SyncSgd::new(cfg).run_distributed(comm, shard, Some(&test))
+                })
+            })
+            .collect();
+        let objective = |run: &nadmm_baselines::DistributedRun| run.history.final_objective().unwrap_or(f64::NAN);
+        let old = candidates
+            .iter()
+            .filter(|run| objective(run).is_finite())
+            .min_by(|a, b| objective(a).total_cmp(&objective(b)))
+            .expect("a finite candidate");
         let new = run_new_api(
             SolverSpec::SyncSgdGrid {
                 base,
@@ -264,9 +286,9 @@ fn runs_without_a_test_set_are_also_identical() {
     // make sure the experiment layer does not sneak a test set in.
     let (train, _) = data(8);
     let cfg = NewtonAdmmConfig::default().with_max_iters(4).with_lambda(1e-3);
-    let (shards, _) = partition_strong(&train, 4);
-    let cluster = Cluster::new(4, NetworkModel::infiniband_100g());
-    let old = NewtonAdmm::new(cfg).run_cluster(&cluster, &shards, None);
+    let old = run_direct(&train, 4, |comm, shard| {
+        NewtonAdmm::new(cfg).run_distributed(comm, shard, None)
+    });
     let new = run_new_api(SolverSpec::NewtonAdmm(cfg), &train, None, 4);
     assert_histories_bit_identical(&old.history, &new.history);
     assert!(new.final_accuracy.is_none());

@@ -1,7 +1,7 @@
 //! # nadmm-metrics
 //!
 //! Experiment harness shared by the Newton-ADMM driver, the baselines and
-//! the figure binaries: per-iteration run records, relative-objective (θ)
+//! the figure examples: per-iteration run records, relative-objective (θ)
 //! computations, and plain-text / CSV table emitters that print the same rows
 //! and series the paper's tables and figures report.
 

@@ -1,4 +1,4 @@
-//! Plain-text and CSV table emitters used by the figure binaries.
+//! Plain-text and CSV table emitters used by the figure examples.
 
 /// A simple column-aligned text table that can also render itself as CSV.
 #[derive(Debug, Clone, Default)]
