@@ -5,9 +5,11 @@
 //! allocation count of the in-place engine.
 //!
 //! The final "bench" merges everything into `BENCH_kernels.json` under the
-//! `collectives` group, so the recorded perf trajectory shows ring allreduce
-//! beating the binomial tree above the modeled crossover payload — the
-//! selection rule the communicator applies automatically.
+//! `collectives` group, then gates the numbers: for every rank count and
+//! payload, ring allreduce must beat the binomial tree above the modeled
+//! crossover payload and the tree must win below it (the selection rule the
+//! communicator applies automatically), and the warm in-place and
+//! split-phase allreduces must allocate nothing.
 //!
 //! Set `NADMM_BENCH_SMOKE=1` for the CI smoke mode (fewer sizes/samples).
 
@@ -101,33 +103,51 @@ fn bench_network_model(c: &mut Criterion) {
 }
 
 /// Records the modeled per-algorithm allreduce costs across payload sizes,
-/// the tree→ring crossover, and the warm-path allocation counts, then merges
-/// every measurement into the machine-readable report. Runs last.
+/// the tree→ring crossover, and the warm-path allocation counts, merges
+/// every measurement into the machine-readable report, then gates the
+/// numbers. Runs last.
 fn emit_report(_c: &mut Criterion) {
     let net = NetworkModel::infiniband_100g();
     let mut entries = criterion_entries();
     let ranks: &[usize] = if smoke() { &[8] } else { &[4, 8, 16] };
+    // (ranks, payload bytes, crossover bytes or NaN, ring ns, tree ns).
+    let mut pairs = Vec::new();
 
     // Modeled cost per algorithm and payload: ns_per_iter is the modeled
     // simulated time (in ns) of one collective.
     for &n in ranks {
+        // The modeled crossover payload (bytes) above which ring beats tree.
+        let crossover = net.crossover_bytes(
+            CollectiveKind::Allreduce,
+            CollectiveAlgorithm::BinomialTree,
+            CollectiveAlgorithm::Ring,
+            n,
+        );
         for &len in &payload_lens() {
             let bytes = len as f64 * 8.0;
+            let cost_ns = |algo| net.collective_cost(CollectiveKind::Allreduce, algo, n, bytes) * 1e9;
             for algo in [
                 CollectiveAlgorithm::Naive,
                 CollectiveAlgorithm::BinomialTree,
                 CollectiveAlgorithm::Ring,
                 CollectiveAlgorithm::RecursiveHalvingDoubling,
             ] {
-                let cost_ns = net.collective_cost(CollectiveKind::Allreduce, algo, n, bytes) * 1e9;
+                let ns = cost_ns(algo);
                 entries.push(BenchEntry {
                     group: "collectives".into(),
                     id: format!("allreduce_model/{}/n{}/{}B", algo.name(), n, bytes as u64),
-                    ns_per_iter: cost_ns,
-                    ops_per_sec: if cost_ns > 0.0 { 1e9 / cost_ns } else { f64::INFINITY },
+                    ns_per_iter: ns,
+                    ops_per_sec: if ns > 0.0 { 1e9 / ns } else { f64::INFINITY },
                     allocs_per_iter: None,
                 });
             }
+            pairs.push((
+                n,
+                bytes,
+                crossover.unwrap_or(f64::NAN),
+                cost_ns(CollectiveAlgorithm::Ring),
+                cost_ns(CollectiveAlgorithm::BinomialTree),
+            ));
             let (chosen, _) = net.select(CollectiveKind::Allreduce, n, bytes, CollectiveSelector::Auto);
             entries.push(BenchEntry {
                 group: "collectives".into(),
@@ -137,13 +157,7 @@ fn emit_report(_c: &mut Criterion) {
                 allocs_per_iter: None,
             });
         }
-        // The modeled crossover payload (bytes) above which ring beats tree.
-        if let Some(crossover) = net.crossover_bytes(
-            CollectiveKind::Allreduce,
-            CollectiveAlgorithm::BinomialTree,
-            CollectiveAlgorithm::Ring,
-            n,
-        ) {
+        if let Some(crossover) = crossover {
             entries.push(BenchEntry {
                 group: "collectives".into(),
                 id: format!("allreduce_crossover_bytes_tree_to_ring/n{n}"),
@@ -191,6 +205,31 @@ fn emit_report(_c: &mut Criterion) {
         allocs.0, allocs.1
     );
     println!("merged report into {path}");
+
+    for (n, bytes, crossover, ring, tree) in pairs {
+        assert!(
+            crossover.is_finite() && crossover > 0.0,
+            "n={n}: the tree→ring crossover ({crossover}B) is missing or not a positive payload"
+        );
+        if bytes > crossover {
+            assert!(
+                ring < tree,
+                "n={n}, payload {bytes}B is above the crossover ({crossover:.0}B) \
+                 but ring ({ring:.1}ns) does not beat tree ({tree:.1}ns)"
+            );
+        }
+        if bytes < crossover {
+            assert!(
+                tree <= ring,
+                "n={n}, payload {bytes}B is below the crossover ({crossover:.0}B) \
+                 but tree ({tree:.1}ns) loses to ring ({ring:.1}ns)"
+            );
+        }
+    }
+    assert!(
+        allocs == (0, 0),
+        "warm (in-place, split-phase) allreduces made {allocs:?} allocations (expected 0 each)"
+    );
 }
 
 criterion_group!(benches, bench_allreduce_wallclock, bench_network_model, emit_report);

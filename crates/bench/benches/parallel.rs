@@ -1,19 +1,20 @@
 //! Execution-engine bench: pooled vs forced-sequential kernel throughput.
 //!
-//! Measures the two kernels the ISSUE gates on — `gemm_nt` and `dot` — with
-//! the work-sharing pool engaged (`NADMM_PAR_THRESHOLD = 0`) and disabled
-//! (`= usize::MAX`), plus the raw dispatch overhead of one pooled region and
-//! the measured sequential→pooled crossover size for `dot`. Everything is
-//! merged into the `parallel` section of `BENCH_kernels.json`, which
-//! `check_parallel_report` gates in CI: on a ≥4-core runner the pooled
-//! kernels must clear 2× the forced-sequential throughput; on smaller
-//! runners the speedup gate is skipped honestly (the recorded thread count
-//! says why).
+//! Measures `gemm_nt` and `dot` with the work-sharing pool engaged
+//! (`NADMM_PAR_THRESHOLD = 0`) and disabled (`= usize::MAX`), plus the raw
+//! dispatch overhead of one pooled region and the measured
+//! sequential→pooled crossover size for `dot`. Everything is merged into
+//! the `parallel` section of `BENCH_kernels.json`, then gated: the dispatch
+//! overhead must be a sane measurement, and on a run with ≥4 worker threads
+//! the pooled kernels must clear 2× the forced-sequential throughput. Below
+//! 4 threads the speedup gate is skipped with a printed reason (a small
+//! runner cannot speed anything up, and faking the number would poison the
+//! recorded trajectory).
 //!
 //! `NADMM_BENCH_SMOKE=1` shrinks the shapes for the CI smoke run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
+use nadmm_bench::report::{criterion_entries, find_entry, merge_bench_json, report_path, BenchEntry};
 use nadmm_linalg::{gen, DenseMatrix};
 use std::hint::black_box;
 use std::time::Instant;
@@ -76,8 +77,8 @@ fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Measures dispatch overhead and the dot crossover, then merges every row
-/// into the report. Runs last.
+/// Measures dispatch overhead and the dot crossover, merges every row into
+/// the report, then gates the numbers. Runs last.
 fn emit_report(_c: &mut Criterion) {
     let threads = rayon::current_num_threads();
 
@@ -147,6 +148,32 @@ fn emit_report(_c: &mut Criterion) {
     merge_bench_json(&path, &entries).expect("write BENCH_kernels.json");
     println!("parallel engine: threads={threads} dispatch_overhead={dispatch_ns:.0}ns dot_crossover={crossover} elems");
     println!("merged report into {path}");
+
+    assert!(
+        dispatch_ns.is_finite() && dispatch_ns >= 0.0,
+        "dispatch overhead {dispatch_ns}ns is not a sane measurement"
+    );
+    for kernel in ["dot", "gemm_nt"] {
+        let pooled = find_entry(&entries, &format!("{kernel}/pooled/")).ops_per_sec;
+        let seq = find_entry(&entries, &format!("{kernel}/seq/")).ops_per_sec;
+        assert!(
+            pooled.is_finite() && seq.is_finite() && pooled > 0.0 && seq > 0.0,
+            "{kernel}: non-finite or zero throughput (pooled={pooled}, seq={seq})"
+        );
+        println!("{kernel}: {:.2}× pooled-vs-seq at {threads} threads", pooled / seq);
+        if threads >= 4 {
+            assert!(
+                pooled >= 2.0 * seq,
+                "{kernel}: pooled {pooled:.0} ops/s is under 2× sequential's {seq:.0} ops/s at {threads} threads"
+            );
+        }
+    }
+    if threads < 4 {
+        println!(
+            "SKIP speedup gate: the run recorded {threads} threads (< 4), and a small runner cannot \
+             demonstrate parallel speedup; only the measurements' sanity was checked"
+        );
+    }
 }
 
 criterion_group!(benches, bench_parallel_kernels, emit_report);

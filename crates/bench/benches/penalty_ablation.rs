@@ -1,4 +1,4 @@
-//! Criterion bench for the penalty-rule ablation called out in DESIGN.md:
+//! Criterion bench for the ADMM penalty-rule ablation:
 //! wall-clock cost and convergence of fixed ρ vs residual balancing vs the
 //! paper's spectral rule over a fixed iteration budget.
 

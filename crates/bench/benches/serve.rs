@@ -4,8 +4,11 @@
 //!
 //! The final "bench" merges everything into `BENCH_kernels.json` under the
 //! `serve` group, so the recorded perf trajectory shows large batches
-//! amortizing the device's launch/transfer latency — the property the
-//! batching scheduler (and the serve_bench ≥4× self-gate) relies on.
+//! amortizing the device's launch/transfer latency, then gates the numbers:
+//! every batch size has a positive modeled throughput, batch 32 serves at
+//! least `BATCH_SPEEDUP_GATE`× the rows per second of batch 1 (the property
+//! the batching scheduler and serve_bench's self-gate rely on), and both
+//! decoders allocate nothing once warm.
 //!
 //! Set `NADMM_BENCH_SMOKE=1` for the CI smoke mode (fewer samples).
 
@@ -58,8 +61,9 @@ fn bench_predict_wallclock(c: &mut Criterion) {
 }
 
 /// Records the device-modeled per-row throughput per batch size, the modeled
-/// batch-32-vs-1 speedup, and the warm-path allocation counts, then merges
-/// every measurement into the machine-readable report. Runs last.
+/// batch-32-vs-1 speedup, and the warm-path allocation counts, merges every
+/// measurement into the machine-readable report, then gates the numbers.
+/// Runs last.
 fn emit_report(_c: &mut Criterion) {
     let mut entries = criterion_entries();
     let mut session = session();
@@ -121,11 +125,25 @@ fn emit_report(_c: &mut Criterion) {
 
     let path = report_path();
     merge_bench_json(&path, &entries).expect("write BENCH_kernels.json");
-    println!(
-        "serve: modeled batch-32 speedup {:.1}×, warm allocs argmax={argmax_allocs} topk={topk_allocs}",
-        small / large
-    );
+    let speedup = small / large;
+    println!("serve: modeled batch-32 speedup {speedup:.1}×, warm allocs argmax={argmax_allocs} topk={topk_allocs}");
     println!("merged report into {path}");
+
+    for &(batch, ns) in &per_row_ns {
+        assert!(
+            ns.is_finite() && ns > 0.0,
+            "batch {batch} records a non-positive modeled time per row ({ns} ns), so no finite throughput"
+        );
+    }
+    let gate = nadmm_serve::BATCH_SPEEDUP_GATE;
+    assert!(
+        speedup >= gate,
+        "batch-32 modeled throughput is only {speedup:.2}× batch-1 ({large:.1} vs {small:.1} ns/row; gate: ≥ {gate}×)"
+    );
+    assert!(
+        argmax_allocs == 0 && topk_allocs == 0,
+        "warm decoders allocated (argmax={argmax_allocs}, topk={topk_allocs}; expected 0 each)"
+    );
 }
 
 criterion_group!(benches, bench_predict_wallclock, emit_report);

@@ -3,13 +3,15 @@
 //! traced warm path's allocation count (must be zero — the ring is
 //! pre-allocated and `Event` is `Copy`).
 //!
-//! Everything merges into `BENCH_kernels.json` under the `tracing` group;
-//! `check_trace_report` gates the recorded numbers in CI. Set
-//! `NADMM_BENCH_SMOKE=1` for the CI smoke mode.
+//! Everything merges into `BENCH_kernels.json` under the `tracing` group,
+//! then the run gates its numbers: the traced warm iteration costs under 2×
+//! the untraced one, the ring absorbs over 1e5 events/sec, and the traced
+//! warm path allocates nothing. Set `NADMM_BENCH_SMOKE=1` for the CI smoke
+//! mode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nadmm_bench::alloc_counter::{count_allocations, CountingAllocator};
-use nadmm_bench::report::{criterion_entries, merge_bench_json, report_path, BenchEntry};
+use nadmm_bench::report::{criterion_entries, find_entry, merge_bench_json, report_path, BenchEntry};
 use nadmm_cluster::SingleProcessComm;
 use nadmm_data::{Dataset, SyntheticConfig};
 use nadmm_trace::{Recorder, Tag};
@@ -99,9 +101,9 @@ fn bench_ring_push(c: &mut Criterion) {
     group.finish();
 }
 
-/// Appends the measured rows criterion cannot produce: the traced warm
-/// iteration's allocation count (the zero-alloc contract, recorded so the
-/// gate can check it) — then merges everything into the report.
+/// Appends the measured rows criterion cannot produce (the traced warm
+/// iteration's allocation count), merges everything into the report, then
+/// gates the overhead, the ring push rate and the zero-alloc contract.
 fn emit_report(_c: &mut Criterion) {
     let mut entries = criterion_entries();
 
@@ -133,6 +135,30 @@ fn emit_report(_c: &mut Criterion) {
     let path = report_path();
     merge_bench_json(&path, &entries).expect("cannot write the bench report");
     println!("tracing rows merged into {path} ({allocs} allocs over {iters} traced iterations)");
+
+    let untraced = find_entry(&entries, "warm_admm_iteration/untraced").ns_per_iter;
+    let traced = find_entry(&entries, "warm_admm_iteration/traced").ns_per_iter;
+    assert!(
+        untraced > 0.0 && traced > 0.0,
+        "warm iteration timings are not positive ({untraced} / {traced} ns)"
+    );
+    assert!(
+        traced < 2.0 * untraced,
+        "traced warm iteration costs {traced:.0}ns vs {untraced:.0}ns untraced, more than 2× overhead"
+    );
+    let push_rate = find_entry(&entries, "ring_push").ops_per_sec;
+    assert!(
+        push_rate > 1.0e5,
+        "ring push rate {push_rate:.0} events/sec is implausibly low"
+    );
+    assert!(
+        allocs == 0,
+        "traced warm iterations made {allocs} allocations over {iters} iterations (expected 0)"
+    );
+    println!(
+        "tracing: overhead {:+.1}%, ring {push_rate:.2e} events/sec, 0 warm allocs",
+        (traced / untraced - 1.0) * 100.0
+    );
 }
 
 criterion_group!(benches, bench_warm_iteration, bench_ring_push, emit_report);

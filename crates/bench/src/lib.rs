@@ -7,9 +7,10 @@
 //!   rows/series the paper reports,
 //! * criterion micro-benches for the kernels the solvers are built from
 //!   (GEMM, Hessian-vector products, CG, collectives, epoch time, penalty
-//!   rules), and
-//! * the report-gate binaries (`check_*_report`) CI runs on the benches'
-//!   JSON output.
+//!   rules). They record their numbers in `BENCH_kernels.json` (see
+//!   [`report`]), and the `parallel`, `serve`, `collectives`, `precision`
+//!   and `tracing` benches then gate them, exiting non-zero when a bound
+//!   fails.
 //!
 //! Every figure example accepts a `NADMM_SCALE` environment variable
 //! (default `1.0`): sample counts are multiplied by it, so

@@ -5,6 +5,10 @@
 //! `BENCH_kernels.json` by default — so future changes have a recorded perf
 //! trajectory to compare against. Entries are merged by `(group, id)`:
 //! re-running a bench overwrites its own rows and leaves the others.
+//!
+//! The file is a record, not an input: each bench gates its own numbers
+//! in memory at the end of its run, after merging them here, so a failing
+//! run still leaves its measurements on disk.
 
 use serde::Value;
 use serde_json::parse_value;
@@ -50,24 +54,6 @@ pub fn report_path() -> String {
         return path;
     }
     format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), DEFAULT_REPORT_PATH)
-}
-
-/// Reads a numeric field of a parsed report row (shared by the
-/// `check_*_report` CI gate binaries).
-pub fn num(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Reads a string field of a parsed report row (shared by the
-/// `check_*_report` CI gate binaries).
-pub fn str_field<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Some(s),
-        _ => None,
-    }
 }
 
 fn key_of(v: &Value) -> Option<(String, String)> {
@@ -145,6 +131,18 @@ fn render_compact(v: &Value) -> String {
             format!("{{{}}}", inner.join(", "))
         }
     }
+}
+
+/// The first row of `entries` whose id starts with `id_prefix`.
+///
+/// # Panics
+/// Panics naming the prefix when no row matches, so a bench gate cannot pass
+/// on a measurement that was never taken.
+pub fn find_entry<'a>(entries: &'a [BenchEntry], id_prefix: &str) -> &'a BenchEntry {
+    entries
+        .iter()
+        .find(|e| e.id.starts_with(id_prefix))
+        .unwrap_or_else(|| panic!("no `{id_prefix}` row was measured"))
 }
 
 /// Converts the criterion shim's recorded measurements into report rows

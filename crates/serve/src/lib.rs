@@ -39,7 +39,7 @@ pub mod sim;
 /// The batching claim the pipeline self-gates on: batch-32 predict
 /// throughput (rows per simulated second) must exceed batch-1 by at least
 /// this factor on the paper's P100 device model. One source of truth for
-/// `examples/serve_bench.rs` and the `check_serve_report` CI gate.
+/// `examples/serve_bench.rs` and the `serve` bench's gate.
 pub const BATCH_SPEEDUP_GATE: f64 = 4.0;
 
 pub use artifact::{

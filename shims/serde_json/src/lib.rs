@@ -293,11 +293,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| Error("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("pos < len, so the remainder is non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a code
+                    // point boundary and validating it keeps the parse linear.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text =
+                        std::str::from_utf8(&self.bytes[self.pos..self.pos + run]).map_err(|_| Error("invalid utf-8".into()))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -339,6 +345,15 @@ mod tests {
             write_value(&v, if pretty { Some(2) } else { None }, 0, &mut out);
             assert_eq!(parse_value(&out).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn multi_byte_and_escaped_strings_round_trip() {
+        let s = "é—😀é\"\\";
+        let json = to_string(&s).unwrap();
+        assert_eq!(parse_value(&json).unwrap(), Value::Str(s.into()));
+        assert_eq!(parse_value(r#""é—😀\n""#).unwrap(), Value::Str("é—😀\n".into()));
+        assert!(parse_value("\"é—😀").is_err(), "an unterminated string must be rejected");
     }
 
     #[test]
